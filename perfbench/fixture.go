@@ -22,6 +22,9 @@ type fixture struct {
 	firstPath, secondPath string
 	firstName, secondName string
 	cfg                   tdmatch.Config // the configuration the snapshot is trained with
+	// built holds Model.Stats of the Builds run on the fixture: the
+	// snapshot's, or build-imdb's timed ones.
+	built []tdmatch.Stats
 	// truth maps a second-corpus document ID (as the loaded corpus names
 	// it) to the ID of its correct first-corpus match.
 	truth map[string]string
@@ -198,6 +201,7 @@ func (fx *fixture) buildSnapshot() error {
 	}
 	logf("fixture %s/%s: %d+%d documents, trained in %s", fx.firstName, fx.secondName,
 		first.Len(), second.Len(), time.Since(start).Round(time.Millisecond))
+	fx.built = append(fx.built, m.Stats())
 	fx.snap = filepath.Join(fx.dir, "model.snap")
 	return m.SaveFileV6(fx.snap)
 }

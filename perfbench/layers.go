@@ -23,11 +23,16 @@ const (
 	probeDocs    = 48  // documents ingested per ingest probe
 	probeAppends = 100 // WAL appends
 	probeOpens   = 5   // corpus loads and snapshot opens
+	stageRuns    = 3   // stage-by-stage replicas of Build
 )
 
 // probeStages runs Build's stages one by one through the internal
-// packages, with the stage parameters Build derives from fx.cfg for a
-// table-and-text task (no expansion or compression, Skip-gram window 3).
+// packages, stageRuns times, with the stage parameters Build derives from
+// fx.cfg for a table-and-text task (no expansion or compression,
+// Skip-gram window 3). The graph size, walk count and training time are
+// the program's own, from Model.Stats of the fixture's Builds; the probe
+// must reproduce the graph and walk counts exactly, or it has drifted
+// from Build and the run fails.
 func (b *bench) probeStages(fx *fixture) error {
 	cfg := fx.cfg
 	c1, err := corpus.Load(fx.firstPath, fx.firstName)
@@ -38,58 +43,73 @@ func (b *bench) probeStages(fx *fixture) error {
 	if err != nil {
 		return err
 	}
-	parent := b.tr.open("probe.stages", 0, 0)
-	defer b.tr.close(parent)
-	var res *graph.Result
+	var g *graph.Graph
 	var seqs embed.Sequences
-	var em *embed.Model
-	b.tr.do("graph.Build", parent, func(int) {
-		res, err = graph.Build(c1, c2, graph.BuildConfig{
-			Pre:             textproc.Preprocessor{RemoveStopwords: true, Stem: true, MaxNGram: cfg.MaxNGram},
-			Filter:          graph.FilterIntersect,
-			ConnectMetadata: true,
+	var nodes, edges int
+	for run := 0; run < stageRuns; run++ {
+		parent := b.tr.open("probe.stages", 0, 0)
+		var res *graph.Result
+		var em *embed.Model
+		b.tr.do("graph.Build", parent, func(int) {
+			res, err = graph.Build(c1, c2, graph.BuildConfig{
+				Pre:             textproc.Preprocessor{RemoveStopwords: true, Stem: true, MaxNGram: cfg.MaxNGram},
+				Filter:          graph.FilterIntersect,
+				ConnectMetadata: true,
+			})
 		})
-	})
-	if err != nil {
-		return err
-	}
-	g := res.Graph
-	b.tr.do("graph.Freeze", parent, func(int) { g.Freeze() })
-	gen := b.tr.do("walk.GeneratePacked", parent, func(int) {
-		seqs = walk.GeneratePacked(g, walk.Config{NumWalks: cfg.NumWalks, Length: cfg.WalkLength, Seed: cfg.Seed, Workers: cfg.Workers})
-	})
-	train := b.tr.do("embed.TrainPacked", parent, func(int) {
-		em, err = embed.TrainPacked(seqs, g.Cap(), embed.Config{Dim: cfg.Dim, Window: 3, Negative: cfg.Negative,
-			Epochs: cfg.Epochs, Mode: embed.SkipGram, Seed: cfg.Seed, Workers: cfg.Workers, Subsample: cfg.Subsample})
-	})
-	if err != nil {
-		return err
-	}
-	index := b.tr.do("match.NewIndexArena", parent, func(int) {
-		for _, c := range []*corpus.Corpus{c1, c2} {
-			ids := c.IDs()
-			arena := make([]float32, len(ids)*cfg.Dim)
-			for i, id := range ids {
-				if node, ok := res.DocNode[id]; ok {
-					copy(arena[i*cfg.Dim:(i+1)*cfg.Dim], em.Vector(int32(node)))
+		if err != nil {
+			return err
+		}
+		g = res.Graph
+		nodes, edges = g.NumNodes(), g.NumEdges()
+		b.tr.do("graph.Freeze", parent, func(int) { g.Freeze() })
+		b.tr.do("walk.GeneratePacked", parent, func(int) {
+			seqs = walk.GeneratePacked(g, walk.Config{NumWalks: cfg.NumWalks, Length: cfg.WalkLength, Seed: cfg.Seed, Workers: cfg.Workers})
+		})
+		b.tr.do("embed.TrainPacked", parent, func(int) {
+			em, err = embed.TrainPacked(seqs, g.Cap(), embed.Config{Dim: cfg.Dim, Window: 3, Negative: cfg.Negative,
+				Epochs: cfg.Epochs, Mode: embed.SkipGram, Seed: cfg.Seed, Workers: cfg.Workers, Subsample: cfg.Subsample})
+		})
+		if err != nil {
+			return err
+		}
+		b.tr.do("match.NewIndexArena", parent, func(int) {
+			for _, c := range []*corpus.Corpus{c1, c2} {
+				ids := c.IDs()
+				arena := make([]float32, len(ids)*cfg.Dim)
+				for i, id := range ids {
+					if node, ok := res.DocNode[id]; ok {
+						copy(arena[i*cfg.Dim:(i+1)*cfg.Dim], em.Vector(int32(node)))
+					}
+				}
+				if _, ierr := match.NewIndexArena(ids, arena, cfg.Dim); ierr != nil {
+					err = ierr
 				}
 			}
-			if _, ierr := match.NewIndexArena(ids, arena, cfg.Dim); ierr != nil {
-				err = ierr
-			}
+		})
+		b.tr.close(parent)
+		if err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return err
 	}
+	var train []time.Duration
+	for _, st := range fx.built {
+		train = append(train, st.TrainTime)
+		if nodes != st.GraphNodes || edges != st.GraphEdges || seqs.Len() != st.Walks {
+			b.problem("stage probe drifted from Build: %d nodes, %d edges, %d walks; Build's %d, %d, %d",
+				nodes, edges, seqs.Len(), st.GraphNodes, st.GraphEdges, st.Walks)
+			break
+		}
+	}
+	trainS := median(train).Seconds()
 	tokens := float64(seqs.NumTokens())
 	b.layer["graph.build_ms"] = metric{ms(b.p50("graph.Build")), "ms"}
-	b.layer["graph.nodes"] = metric{float64(g.NumNodes()), "count"}
+	b.layer["graph.nodes"] = metric{float64(fx.built[0].GraphNodes), "count"}
 	b.layer["walk.tokens"] = metric{tokens, "count"}
-	b.layer["walk.generate_ms"] = metric{ms(gen), "ms"}
-	b.layer["embed.train_s"] = metric{train.Seconds(), "s"}
-	b.layer["embed.tokens_per_s"] = metric{tokens * float64(cfg.Epochs) / train.Seconds(), "1/s"}
-	b.layer["match.index_build_ms"] = metric{ms(index), "ms"}
+	b.layer["walk.generate_ms"] = metric{ms(b.p50("walk.GeneratePacked")), "ms"}
+	b.layer["embed.train_s"] = metric{trainS, "s"}
+	b.layer["embed.tokens_per_s"] = metric{tokens * float64(cfg.Epochs) / trainS, "1/s"}
+	b.layer["match.index_build_ms"] = metric{ms(b.p50("match.NewIndexArena")), "ms"}
 	return nil
 }
 
@@ -373,10 +393,14 @@ func (b *bench) probeIngest(fx *fixture, d *daemon, before, after serveStats, ke
 
 // crossCheck records how a sum of per-layer times compares with the
 // end-to-end time it should account for. The layers bracket the
-// end-to-end figure when the ratio lies in [0.75, 1.25].
+// end-to-end figure when the ratio lies in [0.75, 1.25]; otherwise the
+// attribution does not add up and the traced run fails.
 func (b *bench) crossCheck(name string, layers, e2e time.Duration) {
 	ratio := float64(layers) / float64(e2e)
 	ok := ratio >= 0.75 && ratio <= 1.25
 	b.checks[name] = map[string]any{"layers_ms": ms(layers), "end_to_end_ms": ms(e2e), "ratio": ratio, "brackets": ok}
 	logf("cross-check %s: %v vs %v (ratio %.2f, brackets %v)", name, layers.Round(time.Microsecond), e2e.Round(time.Microsecond), ratio, ok)
+	if !ok {
+		b.problem("cross-check %s: ratio %.2f outside [0.75, 1.25]", name, ratio)
+	}
 }
